@@ -32,6 +32,7 @@ still run through them.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
@@ -322,13 +323,28 @@ class NucleotideLookup(_LookupBase):
 #: query, so this is the "per-residue neighbour columns" precomputation that
 #: turns the per-block build into a pure gather.
 _NEIGHBOR_CSR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+#: serialises cold builds: thread-backend ranks share this module, and each
+#: would otherwise build the same table at once
+_NEIGHBOR_CSR_LOCK = threading.Lock()
 
 
 def _neighbor_csr(threshold: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of BLOSUM62 3-mer neighbourhoods for every possible query triple."""
+    """CSR of BLOSUM62 3-mer neighbourhoods for every possible query triple.
+
+    Built once per process per threshold; the warm path takes no lock.
+    """
     entry = _NEIGHBOR_CSR_CACHE.get(threshold)
     if entry is not None:
         return entry
+    with _NEIGHBOR_CSR_LOCK:
+        entry = _NEIGHBOR_CSR_CACHE.get(threshold)
+        if entry is None:
+            entry = _build_neighbor_csr(threshold)
+            _NEIGHBOR_CSR_CACHE[threshold] = entry
+    return entry
+
+
+def _build_neighbor_csr(threshold: int) -> tuple[np.ndarray, np.ndarray]:
     B = BLOSUM62[:20, :20].astype(np.int16)
     words_parts: list[np.ndarray] = []
     counts = np.empty(8000, dtype=np.int64)
@@ -346,9 +362,7 @@ def _neighbor_csr(threshold: int) -> tuple[np.ndarray, np.ndarray]:
         words_parts.append((x_i * 400 + y_i * 20 + z_i).astype(np.int16))
         counts[a * 400 : (a + 1) * 400] = np.bincount(b_i * 20 + c_i, minlength=400)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    entry = (np.concatenate(words_parts), offsets)
-    _NEIGHBOR_CSR_CACHE[threshold] = entry
-    return entry
+    return np.concatenate(words_parts), offsets
 
 
 class ProteinLookup(_LookupBase):

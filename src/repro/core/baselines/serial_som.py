@@ -14,7 +14,7 @@ from repro.core.mrsom.driver import MrSomConfig
 from repro.core.mrsom.mmap_input import MatrixFile
 from repro.som.batch import accumulate_batch, batch_update
 from repro.som.codebook import init_codebook
-from repro.som.neighborhood import gaussian_kernel, radius_schedule
+from repro.som.neighborhood import GaussianRows, radius_schedule
 
 __all__ = ["run_serial_batch_som"]
 
@@ -29,9 +29,8 @@ def run_serial_batch_som(config: MrSomConfig) -> np.ndarray:
     if initial is None:
         initial = max(grid.diagonal / 2.0, config.final_radius)
     sigmas = radius_schedule(initial, config.final_radius, config.epochs)
-    sq = grid.grid_sq_distances()
     for sigma in sigmas:
-        kernel = gaussian_kernel(sq, float(sigma))
+        kernel = GaussianRows(grid, float(sigma))
         num, denom = None, None
         # Walk the same work units the parallel driver would, in order.
         for start, stop in matrix.work_units(config.block_rows):

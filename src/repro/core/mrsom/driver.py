@@ -41,7 +41,7 @@ from repro.obs.export import write_chrome_trace
 from repro.obs.trace import TraceSession
 from repro.som.batch import accumulate_batch, batch_update
 from repro.som.codebook import SOMGrid, init_codebook
-from repro.som.neighborhood import gaussian_kernel, radius_schedule
+from repro.som.neighborhood import GaussianRows, radius_schedule
 
 __all__ = ["MrSomConfig", "MrSomResult", "run_mrsom", "mrsom_spmd", "mrsom_supervised"]
 
@@ -217,7 +217,7 @@ class _BlockAccumulator:
 
     matrix: MatrixFile
     codebook: np.ndarray = None
-    kernel: np.ndarray = None
+    kernel: GaussianRows = None
     num: np.ndarray = None
     denom: np.ndarray = None
     units: int = 0
@@ -225,7 +225,7 @@ class _BlockAccumulator:
     _unit_num: np.ndarray = None
     _unit_denom: np.ndarray = None
 
-    def start_epoch(self, codebook: np.ndarray, kernel: np.ndarray) -> None:
+    def start_epoch(self, codebook: np.ndarray, kernel: GaussianRows) -> None:
         self.codebook = codebook
         self.kernel = kernel
         k, dim = codebook.shape
@@ -370,7 +370,6 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
     if initial is None:
         initial = max(grid.diagonal / 2.0, config.final_radius)
     sigmas = radius_schedule(initial, config.final_radius, config.epochs)
-    sq = grid.grid_sq_distances()
     work = matrix.work_units(config.block_rows)
 
     speculation = None
@@ -425,8 +424,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
                 # trace-derived total matches the counter bit-for-bit.
                 trc.end(seconds=dt)
 
-            kernel = gaussian_kernel(sq, float(sigma))
-            acc.start_epoch(codebook, kernel)
+            acc.start_epoch(codebook, GaussianRows(grid, float(sigma)))
             mr.map_items(work, acc, speculation=speculation, degraded=config.degraded)
 
             if trc.enabled:

@@ -20,7 +20,7 @@ per input block — the parallel == serial parity tests rest on that.
 """
 
 from repro.som.codebook import SOMGrid, init_codebook
-from repro.som.neighborhood import gaussian_kernel, bubble_kernel, radius_schedule
+from repro.som.neighborhood import GaussianRows, gaussian_kernel, bubble_kernel, radius_schedule
 from repro.som.bmu import best_matching_units, pairwise_sq_distances
 from repro.som.batch import BatchSOM, accumulate_batch, batch_update
 from repro.som.online import OnlineSOM
@@ -34,6 +34,7 @@ __all__ = [
     "init_codebook",
     "gaussian_kernel",
     "bubble_kernel",
+    "GaussianRows",
     "radius_schedule",
     "best_matching_units",
     "pairwise_sq_distances",

@@ -10,6 +10,12 @@ the numerator and denominator over its block of input vectors, and a single
 ``MPI_Reduce`` adds the partial sums (Fig. 2).  :func:`accumulate_batch` is
 that per-block kernel; the serial trainer and the parallel driver both call
 it, so parallel and serial training are the same arithmetic.
+
+A block of B inputs hits at most B distinct BMUs, so only those B rows of
+the (K, K) neighbourhood matrix h contribute to its sums.  The trainers pass
+a :class:`~repro.som.neighborhood.GaussianRows` provider that computes just
+those rows: a block costs its BMU search plus an O(B·K·d) product, and no
+rank ever holds a (K, K) matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from repro.som.bmu import best_matching_units
 from repro.som.codebook import SOMGrid, init_codebook
-from repro.som.neighborhood import gaussian_kernel, radius_schedule
+from repro.som.neighborhood import GaussianRows, radius_schedule
 from repro.som.quality import quantization_error
 
 __all__ = ["accumulate_batch", "batch_update", "BatchSOM"]
@@ -29,15 +35,19 @@ __all__ = ["accumulate_batch", "batch_update", "BatchSOM"]
 def accumulate_batch(
     data: np.ndarray,
     codebook: np.ndarray,
-    kernel: np.ndarray,
+    kernel,
     num: np.ndarray | None = None,
     denom: np.ndarray | None = None,
     chunk: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate Eq. 5 numerator/denominator contributions of one block.
 
-    ``kernel`` is the (K, K) neighbourhood matrix h[c, i] for the current
-    radius.  Pass existing ``num`` (K, dim) and ``denom`` (K,) arrays to
+    ``kernel`` is the neighbourhood h[c, i] for the current radius: any
+    object with ``.shape == (K, K)`` whose ``kernel[units]`` returns those
+    rows — a :class:`~repro.som.neighborhood.GaussianRows` provider or a
+    dense ndarray.  Only the rows of the block's BMUs are read, so a block
+    of B inputs costs O(B·K·d) time and O(K·d) memory beyond its BMU
+    search.  Pass existing ``num`` (K, dim) and ``denom`` (K,) arrays to
     accumulate in place (the mapper's running accumulators); fresh zeroed
     arrays are created otherwise.
     """
@@ -52,14 +62,15 @@ def accumulate_batch(
     if data.shape[0] == 0:
         return num, denom
     bmus = best_matching_units(data, codebook, chunk=chunk)
-    # h rows selected by BMU: contributions are hᵀ·x summed per unit.
-    # counts-based formulation: for unit c with inputs X_c,
-    #   num += Σ_c kernel[c]ᵀ ⊗ sum(X_c);  denom += Σ_c kernel[c]ᵀ·|X_c|
-    counts = np.bincount(bmus, minlength=k).astype(np.float64)
-    sums = np.zeros((k, dim))
-    np.add.at(sums, bmus, data)
-    num += kernel.T @ sums
-    denom += kernel.T @ counts
+    # For each touched unit c with inputs X_c:
+    #   num += Σ_c h[c]ᵀ ⊗ sum(X_c);  denom += Σ_c h[c]ᵀ·|X_c|
+    units, inv = np.unique(bmus, return_inverse=True)
+    counts = np.bincount(inv, minlength=units.size).astype(np.float64)
+    sums = np.zeros((units.size, dim))
+    np.add.at(sums, inv, data)
+    rows = kernel[units]
+    num += rows.T @ sums
+    denom += rows.T @ counts
     return num, denom
 
 
@@ -111,9 +122,8 @@ class BatchSOM:
         if data.ndim != 2 or data.shape[1] != self.dim:
             raise ValueError(f"data must be (N, {self.dim}), got {data.shape}")
         codebook = self._ensure_codebook(data)
-        sq = self.grid.grid_sq_distances()
         for sigma in self.radii(epochs):
-            kernel = gaussian_kernel(sq, float(sigma))
+            kernel = GaussianRows(self.grid, float(sigma))
             num, denom = accumulate_batch(data, codebook, kernel)
             codebook = batch_update(codebook, num, denom)
             if track_error:

@@ -73,15 +73,29 @@ class SOMGrid:
 
     def grid_sq_distances(self) -> np.ndarray:
         """(K, K) squared grid distances ‖r_i − r_j‖² (Eq. 4's exponent)."""
+        return self.sq_distances_from(np.arange(self.n_units))
+
+    def sq_distances_from(self, units) -> np.ndarray:
+        """(len(units), K) squared grid distances from each of ``units`` to
+        every unit — the rows ``units`` of :meth:`grid_sq_distances`.
+
+        Training only ever needs the rows of the units that are some input's
+        BMU, so this is the one distance path: nothing builds the (K, K)
+        matrix unless it asks for all K rows.
+        """
+        units = np.asarray(units, dtype=np.int64).reshape(-1)
+        if units.size and (units.min() < 0 or units.max() >= self.n_units):
+            raise IndexError(f"units outside grid of {self.n_units}")
         if self.periodic:
             r, c = np.divmod(np.arange(self.n_units), self.cols)
-            dr = np.abs(r[:, None] - r[None, :])
+            ur, uc = np.divmod(units, self.cols)
+            dr = np.abs(ur[:, None] - r[None, :])
             dr = np.minimum(dr, self.rows - dr)
-            dc = np.abs(c[:, None] - c[None, :])
+            dc = np.abs(uc[:, None] - c[None, :])
             dc = np.minimum(dc, self.cols - dc)
             return (dr.astype(np.float64) ** 2 + dc.astype(np.float64) ** 2)
         pos = self.positions()
-        diff = pos[:, None, :] - pos[None, :, :]
+        diff = pos[units][:, None, :] - pos[None, :, :]
         return (diff**2).sum(axis=2)
 
     def neighbors(self, k: int) -> list[int]:

@@ -8,7 +8,7 @@ suite verifies as the contrast to the batch trainer's order independence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class OnlineSOM:
     final_radius: float = 1.0
     shuffle: bool = False
     codebook: np.ndarray | None = None
-    _sq: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.alpha0 <= 1):
@@ -53,8 +52,6 @@ class OnlineSOM:
             self.codebook = init_codebook(self.grid, data, method=self.init,
                                           seed_or_rng=self.seed)
         codebook = self.codebook
-        if self._sq is None:
-            self._sq = self.grid.grid_sq_distances()
         initial = self.initial_radius
         if initial is None:
             initial = max(self.grid.diagonal / 2.0, self.final_radius)
@@ -71,7 +68,7 @@ class OnlineSOM:
                 x = data[i]
                 d2 = ((codebook - x) ** 2).sum(axis=1)
                 bmu = int(np.argmin(d2))
-                h = np.exp(-self._sq[bmu] / (sigma * sigma))
+                h = np.exp(-self.grid.sq_distances_from([bmu])[0] / (sigma * sigma))
                 codebook += alphas[step] * h[:, None] * (x - codebook)
                 step += 1
         self.codebook = codebook

@@ -9,6 +9,9 @@ wiring (cached runs produce byte-identical hits and real cache hits) are
 covered alongside.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import SeqRecord
+from repro.blast import lookup
 from repro.blast.engine import BlastnEngine
 from repro.blast.lookup import (
     LookupCache,
@@ -161,3 +165,33 @@ def test_engine_cached_matches_uncached_across_partitions():
     # first encounter is the only miss; the other three searches hit
     assert cache.misses == 1 and cache.hits == 3
     assert cached.last_stats.lookup_cache_hits == 1
+
+
+def test_neighbor_table_built_once_under_concurrent_first_use(monkeypatch):
+    """Thread-backend ranks share the process-wide BLOSUM table: racing
+    cold callers must get the one cached table, built exactly once."""
+    monkeypatch.delitem(lookup._NEIGHBOR_CSR_CACHE, 11, raising=False)
+    builds = []
+    real_build = lookup._build_neighbor_csr
+
+    def counting_build(threshold):
+        builds.append(threshold)
+        time.sleep(0.05)  # hold the cold window open for the other threads
+        return real_build(threshold)
+
+    monkeypatch.setattr(lookup, "_build_neighbor_csr", counting_build)
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def worker(i):
+        start.wait()
+        got[i] = lookup._neighbor_csr(11)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert builds == [11]
+    assert all(g is got[0] for g in got)
+    assert lookup._NEIGHBOR_CSR_CACHE[11] is got[0]
